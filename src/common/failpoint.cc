@@ -240,5 +240,6 @@ std::vector<std::string> Failpoints::Describe() {
 
 Failpoints::Suppressor::Suppressor() { ++t_suppress_depth; }
 Failpoints::Suppressor::~Suppressor() { --t_suppress_depth; }
+bool Failpoints::Suppressor::active() { return t_suppress_depth > 0; }
 
 }  // namespace xnf

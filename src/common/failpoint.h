@@ -34,7 +34,8 @@ namespace xnf {
 // tests must DisableAll() when done.
 //
 // Rollback and compensation code runs under a Suppressor: failpoints never
-// fire on a thread while one is alive. This encodes the recovery contract —
+// fire on a thread while one is alive, nor in the pool tasks that thread
+// submits. This encodes the recovery contract —
 // undo paths are written to be infallible, so injecting faults into them
 // would only test an impossible state.
 class Failpoints {
@@ -78,15 +79,22 @@ class Failpoints {
   static const std::vector<const char*>& KnownSites();
   static bool IsKnownSite(const std::string& site);
 
-  // RAII: failpoints never fire on this thread while an instance is alive.
-  // Used by rollback/compensation paths and by test-state verification so
-  // probe reads do not perturb trigger schedules.
+  // RAII: failpoints neither fire nor count hits on this thread while an
+  // instance is alive. The suppression follows the work the thread hands to
+  // the pool: every task it submits through ThreadPool::RunAll is muted too,
+  // at any DOP and in batches those tasks submit in turn, and so is the
+  // `threadpool.task` dispatch site of each. Used by rollback/compensation
+  // paths and by test-state verification so probe reads do not perturb
+  // trigger schedules.
   class Suppressor {
    public:
     Suppressor();
     ~Suppressor();
     Suppressor(const Suppressor&) = delete;
     Suppressor& operator=(const Suppressor&) = delete;
+
+    // True iff a Suppressor is alive on the calling thread.
+    static bool active();
   };
 
  private:

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <optional>
+
 #include "common/failpoint.h"
 #include "common/metrics.h"
 
@@ -50,6 +52,10 @@ void ThreadPool::set_metrics(MetricsRegistry* metrics) {
 
 void ThreadPool::Work(Batch* batch, bool is_worker) {
   const size_t n = batch->tasks.size();
+  // Take on the submitting thread's failpoint suppression, so a muted
+  // statement stays muted at any DOP.
+  std::optional<Failpoints::Suppressor> suppress;
+  if (batch->suppressed) suppress.emplace();
   while (true) {
     size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) return;
@@ -109,6 +115,7 @@ Status ThreadPool::RunAll(std::vector<std::function<Status()>> tasks) {
   auto batch = std::make_shared<Batch>();
   batch->tasks = std::move(tasks);
   batch->statuses.assign(n, Status::Ok());
+  batch->suppressed = Failpoints::Suppressor::active();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     queue_.push_back(batch);

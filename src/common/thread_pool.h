@@ -47,7 +47,9 @@ class ThreadPool {
   // which error is reported, so error propagation is deterministic across
   // worker counts. With dop() == 1 the tasks run inline on the caller in
   // index order. Each task dispatch passes the `threadpool.task`
-  // failpoint.
+  // failpoint. When the caller holds a Failpoints::Suppressor, every task
+  // of the batch runs suppressed, on whichever thread claims it: its
+  // dispatch site, its body, and any batch it submits in turn.
   Status RunAll(std::vector<std::function<Status()>> tasks);
 
   // True iff no RunAll() batch is executing or queued. The engine must be
@@ -77,6 +79,7 @@ class ThreadPool {
   struct Batch {
     std::vector<std::function<Status()>> tasks;
     std::vector<Status> statuses;
+    bool suppressed = false;  // the submitting thread's failpoints are muted
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::mutex mu;

@@ -1,9 +1,12 @@
 // Error-path behaviour of the worker pool: every task of a batch runs at
-// any DOP, the lowest-indexed error wins deterministically, and the pool is
-// quiescent again after a failed batch.
+// any DOP, the lowest-indexed error wins deterministically, the pool is
+// quiescent again after a failed batch, and a Failpoints::Suppressor on the
+// submitting thread mutes the tasks it hands to workers.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -80,6 +83,56 @@ TEST_F(ThreadPoolFault, QuiescentAfterManyFailedBatches) {
     std::atomic<int> ran{0};
     (void)pool.RunAll(CountingTasks(7, &ran, {}));
     EXPECT_TRUE(pool.quiescent());
+  }
+}
+
+// Eight tasks that each pass `site` through Failpoints::Check; task 3 also
+// submits a nested batch of four such tasks to the same pool. Each outer
+// body sleeps briefly so that, at DOP > 1, idle workers claim the remaining
+// tasks instead of the caller draining the batch alone.
+std::vector<std::function<Status()>> CheckingTasks(ThreadPool* pool,
+                                                   const char* site) {
+  std::vector<std::function<Status()>> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back([pool, site, i]() -> Status {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      XNF_RETURN_IF_ERROR(Failpoints::Check(site));
+      if (i != 3) return Status::Ok();
+      std::vector<std::function<Status()>> nested;
+      for (int j = 0; j < 4; ++j) {
+        nested.push_back([site] { return Failpoints::Check(site); });
+      }
+      return pool->RunAll(std::move(nested));
+    });
+  }
+  return tasks;
+}
+
+TEST_F(ThreadPoolFault, SuppressorCoversTasksSubmittedToWorkers) {
+  const char* kSite = "xnf.node.query";
+  for (int dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    ASSERT_TRUE(Failpoints::Enable("threadpool.task", "always").ok());
+    ASSERT_TRUE(Failpoints::Enable(kSite, "always").ok());
+    ThreadPool pool(dop);
+    {
+      // Muted on the submitting thread means muted for every task it
+      // submits, on whichever thread the task runs and in nested batches:
+      // no fire and no counted hit, at the dispatch site or in the bodies.
+      Failpoints::Suppressor suppress;
+      EXPECT_TRUE(pool.RunAll(CheckingTasks(&pool, kSite)).ok());
+    }
+    EXPECT_EQ(Failpoints::hits("threadpool.task"), 0u);
+    EXPECT_EQ(Failpoints::hits(kSite), 0u);
+    EXPECT_TRUE(pool.quiescent());
+
+    // The suppression ends with the Suppressor: the same batch fires again,
+    // on every one of its eight dispatches.
+    Status status = pool.RunAll(CheckingTasks(&pool, kSite));
+    EXPECT_EQ(status.code(), StatusCode::kFaultInjected);
+    EXPECT_EQ(Failpoints::fires("threadpool.task"), 8u);
+    EXPECT_TRUE(pool.quiescent());
+    Failpoints::DisableAll();
   }
 }
 
