@@ -1,7 +1,7 @@
 // Intra-query parallelism scaling curves: the same queries executed by one
 // Database per thread setting (1/2/4/8). Three shapes: a filtered full scan
 // (morsel-driven SeqScan), a selective hash join (parallel build), and an
-// XNF extraction (concurrent node/edge derived queries). On a single-core
+// XNF extraction (parallel scans inside each derived query). On a single-core
 // machine the curves are flat — the interesting CI signal there is that the
 // parallel paths add no correctness or overhead regressions; the speedups in
 // EXPERIMENTS.md were taken where cores were available.

@@ -464,6 +464,7 @@ Result<const ResultSet*> Database::ResolveExtra(const std::string& name) {
     return Status::NotFound("XNF view '" + view_name + "' not found");
   }
   co::Evaluator evaluator(&catalog_, xnf_options_);
+  evaluator.set_trace_sink(trace_sink_);
   XNF_ASSIGN_OR_RETURN(co::CoInstance instance,
                        evaluator.EvaluateText(view->definition));
   int n = instance.NodeIndex(component);
@@ -549,6 +550,7 @@ Result<co::CoInstance> Database::QueryCo(const std::string& xnf_text) {
   StatementContext ctx_guard(this, default_session_.get());
   catalog_.BeginStatementEpoch();
   co::Evaluator evaluator(&catalog_, xnf_options_);
+  evaluator.set_trace_sink(trace_sink_);
   Result<co::CoInstance> result = evaluator.EvaluateText(xnf_text);
   xnf_stats_ = evaluator.stats();
   RecordXnfStats(xnf_stats_);
@@ -1011,6 +1013,7 @@ Result<ExecResult> Database::ExecuteExplain(const sql::ExplainStmt& explain) {
       co::Resolver resolver(
           &catalog_, [this](const co::XnfQuery& q) -> Result<co::CoInstance> {
             co::Evaluator nested(&catalog_, xnf_options_);
+            nested.set_trace_sink(trace_sink_);
             return nested.Evaluate(q);
           });
       XNF_ASSIGN_OR_RETURN(co::CoDef def, resolver.Resolve(query));

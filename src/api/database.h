@@ -72,8 +72,7 @@ class Database {
     size_t buffer_pool_pages = 0;
     uint32_t tuples_per_page = 64;
     // Worker threads for intra-query parallelism (morsel scans, hash-join
-    // build, concurrent XNF derived queries). 0 = hardware concurrency;
-    // 1 = serial execution.
+    // build). 0 = hardware concurrency; 1 = serial execution.
     int threads = 0;
     // Failpoint spec ("site=trigger,..."; see common/failpoint.h) armed at
     // construction. The SQLXNF_FAILPOINTS environment variable is applied

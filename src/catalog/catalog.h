@@ -192,6 +192,11 @@ class Catalog {
   UndoLog* undo_log() const { return undo_log_; }
   void set_undo_log(UndoLog* log) { undo_log_ = log; }
 
+  // True while an exec::StatementAtomicity brackets a statement; one
+  // constructed meanwhile joins it instead of opening its own.
+  bool statement_open() const { return statement_open_; }
+  void set_statement_open(bool open) { statement_open_ = open; }
+
   // The MVCC transaction manager, or nullptr (isolation off — every read
   // sees physical state). Set once by the Database facade; read paths ask
   // it for snapshot-visible scans, write paths for conflict checks.
@@ -221,12 +226,13 @@ class Catalog {
   };
 
   // Refreshes (if the epoch moved) and returns the named system view, or
-  // nullptr. Takes system_mu_: concurrent XNF node queries may resolve the
-  // same view from worker threads.
+  // nullptr. Takes system_mu_, which guards system_views_ and the lazy
+  // per-epoch refresh of each view's rows.
   TableInfo* GetSystemView(const std::string& lower_name) const;
 
   ExecConfig exec_config_;
   UndoLog* undo_log_ = nullptr;
+  bool statement_open_ = false;
   TransactionManager* txn_manager_ = nullptr;
   Wal* wal_ = nullptr;
   ThreadPool* exec_pool_ = nullptr;

@@ -18,13 +18,13 @@ class Counter;
 class MetricsRegistry;
 
 // Fixed-size worker pool for intra-query parallelism (morsel-driven scans,
-// parallel hash-join build, concurrent XNF derived queries). One pool per
-// Database; operators reach it through the catalog.
+// parallel hash-join build). One pool per Database; operators reach it
+// through the catalog.
 //
 // The unit of work is a *batch* of independent tasks submitted with
 // RunAll(). The submitting thread participates in its own batch — it claims
 // and runs tasks alongside the workers — so a task may itself call RunAll()
-// (an XNF node query running a parallel scan) without risk of deadlock:
+// (a task running a parallel scan) without risk of deadlock:
 // every batch makes progress on its caller's thread even when all workers
 // are busy or the pool has zero workers.
 class ThreadPool {

@@ -47,6 +47,11 @@ Result<qgm::ExprPtr> CompileOverTable(const sql::Expr& expr,
 
 StatementAtomicity::StatementAtomicity(Catalog* catalog)
     : catalog_(catalog), log_(catalog->undo_log()) {
+  if (catalog_->statement_open()) {
+    done_ = true;  // nested: the enclosing statement commits or aborts
+    return;
+  }
+  catalog_->set_statement_open(true);
   if (log_ == nullptr) {
     local_ = std::make_unique<UndoLog>();
     log_ = local_.get();
@@ -85,6 +90,7 @@ Status StatementAtomicity::Commit() {
     }
   }
   done_ = true;
+  catalog_->set_statement_open(false);
   if (txn_ != nullptr && mgr != nullptr) {
     // Harvest pre-images before the local log discards them.
     mgr->Commit(txn_, epoch);
@@ -100,6 +106,7 @@ Status StatementAtomicity::Commit() {
 Status StatementAtomicity::Abort() {
   if (done_) return Status::Ok();
   done_ = true;
+  catalog_->set_statement_open(false);
   // The applied-op count must be read before the rollback truncates the
   // undo log back to the savepoint.
   if (Wal* wal = catalog_->wal(); wal != nullptr) {

@@ -36,6 +36,11 @@ namespace xnf::exec {
 // carries the same epoch), and Abort() ends it. Statements inside an
 // explicit transaction leave the transaction open and only rebuild its
 // MVCC write set after a savepoint rollback.
+//
+// One constructed while another is open on the same catalog joins the
+// enclosing statement: its Commit() and Abort() do nothing, and the
+// enclosing statement's outcome decides for both (a CO-level UPDATE is one
+// statement over many co::Manipulator edits, each bracketed on its own).
 class StatementAtomicity {
  public:
   explicit StatementAtomicity(Catalog* catalog);

@@ -74,8 +74,10 @@ Status Manipulator::UpdateColumn(CoCache::Tuple* tuple,
   }
   XNF_ASSIGN_OR_RETURN(Value coerced,
                        value.CoerceTo(node.schema.column(col).type));
+  exec::StatementAtomicity statement(catalog_);
   XNF_RETURN_IF_ERROR(
       PropagateCellUpdate(&node, tuple, static_cast<int>(col), coerced));
+  XNF_RETURN_IF_ERROR(statement.Commit());
   tuple->values[col] = std::move(coerced);
   return Status::Ok();
 }
@@ -90,33 +92,38 @@ Status Manipulator::DeleteTuple(CoCache::Tuple* tuple) {
                                 "' is not updatable");
   }
 
-  // Disconnect all live incident relationship instances first. For
-  // foreign-key relationships where this tuple is the child, the FK lives in
-  // the row being deleted — only the cache connection needs to go.
-  for (size_t r = 0; r < cache_->rel_count(); ++r) {
-    int rel_index = static_cast<int>(r);
-    // Copy: Disconnect mutates the buckets.
-    std::vector<CoCache::Connection*> out = tuple->out[rel_index];
-    for (CoCache::Connection* c : out) {
-      XNF_RETURN_IF_ERROR(Disconnect(c));
-    }
-    std::vector<CoCache::Connection*> in = tuple->in[rel_index];
-    const CoCache::Rel& rel = cache_->rel(rel_index);
-    for (CoCache::Connection* c : in) {
-      if (rel.write_kind == CoRelInstance::WriteKind::kForeignKey) {
-        cache_->RemoveConnection(c);  // FK disappears with the row itself
-      } else {
-        XNF_RETURN_IF_ERROR(Disconnect(c));
-      }
-    }
-  }
-
   TableInfo* table = catalog_->GetTable(node.base_table);
   if (table == nullptr) {
     return Status::NotFound("base table '" + node.base_table + "' not found");
   }
+
+  // Disconnect all live incident relationship instances first, then delete
+  // the base row, all in one statement. For foreign-key relationships where
+  // this tuple is the child, the FK lives in the row being deleted — only
+  // the cache connection needs to go.
+  exec::StatementAtomicity statement(catalog_);
+  for (size_t r = 0; r < cache_->rel_count(); ++r) {
+    for (CoCache::Connection* c : tuple->out[r]) {
+      XNF_RETURN_IF_ERROR(WriteDisconnect(*c));
+    }
+    if (cache_->rel(static_cast<int>(r)).write_kind !=
+        CoRelInstance::WriteKind::kForeignKey) {
+      for (CoCache::Connection* c : tuple->in[r]) {
+        XNF_RETURN_IF_ERROR(WriteDisconnect(*c));
+      }
+    }
+  }
   exec::DmlExecutor dml(catalog_);
   XNF_RETURN_IF_ERROR(dml.DeleteRow(table, tuple->rid));
+  XNF_RETURN_IF_ERROR(statement.Commit());
+
+  for (size_t r = 0; r < cache_->rel_count(); ++r) {
+    // Copies: unlinking mutates the buckets.
+    std::vector<CoCache::Connection*> out = tuple->out[r];
+    for (CoCache::Connection* c : out) ApplyDisconnect(c);
+    std::vector<CoCache::Connection*> in = tuple->in[r];
+    for (CoCache::Connection* c : in) cache_->RemoveConnection(c);
+  }
   tuple->alive = false;
   return Status::Ok();
 }
@@ -139,11 +146,13 @@ Result<CoCache::Tuple*> Manipulator::InsertTuple(int node_index, Row values) {
   for (size_t c = 0; c < values.size(); ++c) {
     base_row[node.base_column_map[c]] = values[c];
   }
+  exec::StatementAtomicity statement(catalog_);
   exec::DmlExecutor dml(catalog_);
   XNF_ASSIGN_OR_RETURN(Rid rid, dml.InsertRow(table, std::move(base_row)));
 
   // Read back (coercions may have normalized values).
   XNF_ASSIGN_OR_RETURN(Row stored, table->storage->Read(rid));
+  XNF_RETURN_IF_ERROR(statement.Commit());
   CoCache::Tuple tuple;
   tuple.values.reserve(values.size());
   for (size_t c = 0; c < values.size(); ++c) {
@@ -179,15 +188,15 @@ Result<CoCache::Connection*> Manipulator::Connect(int rel_index,
         return Status::InvalidArgument(
             "foreign-key relationships carry no attributes");
       }
-      // Setting the FK implicitly disconnects any previous parent.
-      std::vector<CoCache::Connection*> existing = child->in[rel_index];
-      for (CoCache::Connection* c : existing) {
-        XNF_RETURN_IF_ERROR(Disconnect(c));
-      }
       CoCache::Node& child_node = cache_->node(rel.child_node);
       const Value& key = parent->values[rel.fk_parent_column];
+      exec::StatementAtomicity statement(catalog_);
       XNF_RETURN_IF_ERROR(PropagateCellUpdate(&child_node, child,
                                               rel.fk_child_column, key));
+      XNF_RETURN_IF_ERROR(statement.Commit());
+      // Setting the FK implicitly disconnects any previous parent.
+      std::vector<CoCache::Connection*> existing = child->in[rel_index];
+      for (CoCache::Connection* c : existing) cache_->RemoveConnection(c);
       child->values[rel.fk_child_column] = key;
       return cache_->AddConnection(rel_index, parent, child, Row());
     }
@@ -209,9 +218,10 @@ Result<CoCache::Connection*> Manipulator::Connect(int rel_index,
           link_row[rel.attr_link_columns[a]] = attrs[a];
         }
       }
+      exec::StatementAtomicity statement(catalog_);
       exec::DmlExecutor dml(catalog_);
-      XNF_ASSIGN_OR_RETURN(Rid rid, dml.InsertRow(link, std::move(link_row)));
-      (void)rid;
+      XNF_RETURN_IF_ERROR(dml.InsertRow(link, std::move(link_row)).status());
+      XNF_RETURN_IF_ERROR(statement.Commit());
       if (attrs.empty()) attrs.resize(rel.attr_schema.size(), Value::Null());
       return cache_->AddConnection(rel_index, parent, child,
                                    std::move(attrs));
@@ -224,27 +234,30 @@ Status Manipulator::Disconnect(CoCache::Connection* conn) {
   if (!conn->alive) {
     return Status::InvalidArgument("connection already removed");
   }
-  CoCache::Rel& rel = cache_->rel(conn->rel);
+  exec::StatementAtomicity statement(catalog_);
+  XNF_RETURN_IF_ERROR(WriteDisconnect(*conn));
+  XNF_RETURN_IF_ERROR(statement.Commit());
+  ApplyDisconnect(conn);
+  return Status::Ok();
+}
+
+Status Manipulator::WriteDisconnect(const CoCache::Connection& conn) {
+  const CoCache::Rel& rel = cache_->rel(conn.rel);
   switch (rel.write_kind) {
     case CoRelInstance::WriteKind::kNone:
       return Status::NotUpdatable("relationship '" + rel.name +
                                   "' is not updatable");
-    case CoRelInstance::WriteKind::kForeignKey: {
-      CoCache::Node& child_node = cache_->node(rel.child_node);
-      XNF_RETURN_IF_ERROR(PropagateCellUpdate(
-          &child_node, conn->child, rel.fk_child_column, Value::Null()));
-      conn->child->values[rel.fk_child_column] = Value::Null();
-      cache_->RemoveConnection(conn);
-      return Status::Ok();
-    }
+    case CoRelInstance::WriteKind::kForeignKey:
+      return PropagateCellUpdate(&cache_->node(rel.child_node), conn.child,
+                                 rel.fk_child_column, Value::Null());
     case CoRelInstance::WriteKind::kLinkTable: {
       TableInfo* link = catalog_->GetTable(rel.link_table);
       if (link == nullptr) {
         return Status::NotFound("link table '" + rel.link_table +
                                 "' not found");
       }
-      const Value& pkey = conn->parent->values[rel.parent_key_column];
-      const Value& ckey = conn->child->values[rel.child_key_column];
+      const Value& pkey = conn.parent->values[rel.parent_key_column];
+      const Value& ckey = conn.child->values[rel.child_key_column];
       // Delete one matching *visible* link row: another session's
       // uncommitted link must not be picked as the victim.
       std::optional<Rid> victim;
@@ -264,12 +277,18 @@ Status Manipulator::Disconnect(CoCache::Connection* conn) {
             "'");
       }
       exec::DmlExecutor dml(catalog_);
-      XNF_RETURN_IF_ERROR(dml.DeleteRow(link, *victim));
-      cache_->RemoveConnection(conn);
-      return Status::Ok();
+      return dml.DeleteRow(link, *victim);
     }
   }
   return Status::Internal("unhandled relationship write kind");
+}
+
+void Manipulator::ApplyDisconnect(CoCache::Connection* conn) {
+  const CoCache::Rel& rel = cache_->rel(conn->rel);
+  if (rel.write_kind == CoRelInstance::WriteKind::kForeignKey) {
+    conn->child->values[rel.fk_child_column] = Value::Null();
+  }
+  cache_->RemoveConnection(conn);
 }
 
 }  // namespace xnf::co

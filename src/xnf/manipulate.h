@@ -26,6 +26,11 @@ namespace xnf::co {
 //    stored in the link tuple.
 //  - Deleting a tuple first disconnects all relationship instances attached
 //    to it, then deletes the base tuple.
+//
+// Each operation is one statement (exec::StatementAtomicity): inside a
+// transaction it gets its own WAL commit marker, so recovery replays it with
+// the transaction; on failure every base-table write it made rolls back.
+// The cache changes only after the statement commits.
 class Manipulator {
  public:
   Manipulator(CoCache* cache, Catalog* catalog)
@@ -58,6 +63,12 @@ class Manipulator {
 
   Status PropagateCellUpdate(CoCache::Node* node, CoCache::Tuple* tuple,
                              int column, const Value& value);
+
+  // The base-table side of a disconnect (FK nullified or link row deleted);
+  // leaves the cache untouched.
+  Status WriteDisconnect(const CoCache::Connection& conn);
+  // The cache side: unlinks `conn` (and nullifies a cached FK).
+  void ApplyDisconnect(CoCache::Connection* conn);
 
   CoCache* cache_;
   Catalog* catalog_;

@@ -201,6 +201,24 @@ TEST_F(Observability, TraceSinkCapturesXnfPhases) {
   }
 }
 
+TEST_F(Observability, TraceSinkCapturesOpenCoPhases) {
+  // OpenCo (and QueryCo) evaluate through the installed sink too, so a
+  // traced CO checkout reports the same XNF phases as a traced Execute.
+  CollectingTraceSink sink;
+  db_.set_trace_sink(&sink);
+  auto cache = db_.OpenCo(kXnfQuery);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  db_.set_trace_sink(nullptr);
+
+  const auto& spans = sink.spans();
+  for (const char* name :
+       {"materialize-nodes", "materialize-edges", "reachability"}) {
+    int i = FindSpan(spans, name);
+    ASSERT_GE(i, 0) << "missing span " << name << "\n" << sink.ToString();
+    EXPECT_TRUE(spans[i].closed) << name;
+  }
+}
+
 TEST_F(Observability, PerOperatorStatsOffByDefault) {
   ASSERT_OK_AND_ASSIGN(ResultSet rs, db_.Query("SELECT * FROM EMP"));
   EXPECT_EQ(rs.rows.size(), 6u);

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/trace.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -134,15 +136,35 @@ TEST(ParallelExec, SetThreadsSwapsThePoolBetweenQueries) {
 }
 
 TEST(ParallelExec, XnfEvaluationIdenticalAtAnyDop) {
-  // Concurrent node/edge derived queries must produce the same instance
-  // (tuple order, connection order, profile order) as serial evaluation.
+  // The node/edge derived queries run in definition order on the statement
+  // thread at every DOP (DOP only parallelizes inside each query), so the
+  // instance (tuple order, connection order), the counters, the profile
+  // order, and the derived queries a fault stops at are DOP-invariant, and
+  // an installed trace sink does not change the evaluation path.
   const std::string xnf = R"(
       OUT OF Xdept AS DEPT, Xemp AS EMP, Xproj AS PROJ,
         employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
         ownership AS (RELATE Xdept, Xproj WHERE Xdept.dno = Xproj.pdno)
       TAKE *
     )";
+  auto profile_names = [](const co::Evaluator::Stats& stats) {
+    std::vector<std::string> names;
+    for (const co::Evaluator::QueryProfile& p : stats.profiles) {
+      names.push_back(p.name);
+    }
+    return names;
+  };
+  // Hits on the armed site after `xnf.node.query=nth(1)` fails the query.
+  auto node_fault_hits = [&](Database* db) -> uint64_t {
+    EXPECT_OK(Failpoints::Enable("xnf.node.query", "nth(1)"));
+    EXPECT_FALSE(db->QueryCo(xnf).ok());
+    uint64_t hits = Failpoints::hits("xnf.node.query");
+    Failpoints::DisableAll();
+    return hits;
+  };
   std::string expected;
+  std::vector<std::string> expected_profiles;
+  uint64_t expected_hits = 0;
   {
     Database::Options options;
     options.threads = 1;
@@ -151,6 +173,9 @@ TEST(ParallelExec, XnfEvaluationIdenticalAtAnyDop) {
     ASSERT_OK_AND_ASSIGN(co::CoInstance instance, db.QueryCo(xnf));
     expected = instance.ToString();
     ASSERT_FALSE(expected.empty());
+    expected_profiles = profile_names(db.last_xnf_stats());
+    expected_hits = node_fault_hits(&db);
+    EXPECT_EQ(expected_hits, 1u);
   }
   for (int dop : {2, 8}) {
     Database::Options options;
@@ -159,9 +184,32 @@ TEST(ParallelExec, XnfEvaluationIdenticalAtAnyDop) {
     CreateCompanyDb(&db);
     ASSERT_OK_AND_ASSIGN(co::CoInstance instance, db.QueryCo(xnf));
     EXPECT_EQ(instance.ToString(), expected) << "dop=" << dop;
-    // Counter totals merge deterministically too.
+    // Counter totals and profile order match too.
     EXPECT_EQ(db.last_xnf_stats().node_queries, 3);
     EXPECT_EQ(db.last_xnf_stats().edge_queries, 2);
+    EXPECT_EQ(profile_names(db.last_xnf_stats()), expected_profiles)
+        << "dop=" << dop;
+    // The fault stops evaluation at the same derived query.
+    EXPECT_EQ(node_fault_hits(&db), expected_hits) << "dop=" << dop;
+  }
+  {
+    Database::Options options;
+    options.threads = 4;
+    Database db(options);
+    CreateCompanyDb(&db);
+    CollectingTraceSink sink;
+    db.set_trace_sink(&sink);
+    ASSERT_OK_AND_ASSIGN(co::CoInstance traced, db.QueryCo(xnf));
+    db.set_trace_sink(nullptr);
+    ASSERT_FALSE(sink.spans().empty());
+    const co::Evaluator::Stats traced_stats = db.last_xnf_stats();
+    ASSERT_OK_AND_ASSIGN(co::CoInstance untraced, db.QueryCo(xnf));
+    EXPECT_EQ(traced.ToString(), untraced.ToString());
+    EXPECT_EQ(traced.ToString(), expected);
+    EXPECT_EQ(traced_stats.node_queries, db.last_xnf_stats().node_queries);
+    EXPECT_EQ(traced_stats.edge_queries, db.last_xnf_stats().edge_queries);
+    EXPECT_EQ(profile_names(traced_stats),
+              profile_names(db.last_xnf_stats()));
   }
 }
 

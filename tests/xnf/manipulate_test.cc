@@ -1,5 +1,11 @@
 // udi-operations and connect/disconnect with propagation (paper §3.7).
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
+#include "common/failpoint.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "xnf/cache.h"
@@ -265,6 +271,68 @@ TEST_F(ManipulateTest, CacheBaseConsistencyAfterMixedOps) {
   }
   EXPECT_EQ(snap.rels[snap.RelIndex("employment")].connections.size(),
             fresh->rels[fresh->RelIndex("employment")].connections.size());
+}
+
+TEST_F(ManipulateTest, FailedDeleteTupleLeavesBaseAndCacheIntact) {
+  // DeleteTuple is one statement: the delete of the DEPT row fails after
+  // its disconnects nullified the EMP/PROJ foreign keys, and every one of
+  // those writes rolls back with it; the cache changes only on success.
+  co::Manipulator m(cache_.get(), db_.catalog());
+  co::CoCache::Tuple* d1 = FindTuple("xdept", 1);
+  ASSERT_NE(d1, nullptr);
+  int employment = cache_->RelIndex("employment");
+  ASSERT_EQ(d1->out[employment].size(), 2u);
+  ASSERT_OK(Failpoints::Enable("dml.apply.delete", "nth(1)"));
+  Status st = m.DeleteTuple(d1);
+  Failpoints::DisableAll();
+  EXPECT_EQ(st.code(), StatusCode::kFaultInjected) << st.ToString();
+  EXPECT_TRUE(d1->alive);
+  EXPECT_EQ(d1->out[employment].size(), 2u);
+  EXPECT_EQ(FindTuple("xemp", 1)->values[4].AsInt(), 1);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM EMP WHERE edno = 1"), 2);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM PROJ WHERE pdno = 1"), 1);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM DEPT WHERE dno = 1"), 1);
+}
+
+TEST(ManipulateDurability, EditInsideTransactionSurvivesRecovery) {
+  // A Manipulator edit between BEGIN and COMMIT carries its own statement
+  // commit marker, so WAL replay applies it with the transaction (and
+  // drops it with a rolled-back one). No close checkpoint: the reopened
+  // state comes from the WAL alone.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "sqlxnf_manipulate_" +
+                          std::to_string(::getpid());
+  Database::Options options;
+  options.data_dir = dir;
+  options.wal_fsync = false;
+  options.checkpoint_on_close = false;
+  for (bool commit : {true, false}) {
+    fs::remove_all(dir);
+    {
+      Database db(options);
+      ASSERT_OK(db.open_error());
+      CreateCompanyDb(&db);
+      MustExecute(&db, "BEGIN");
+      ASSERT_OK_AND_ASSIGN(std::unique_ptr<co::CoCache> cache,
+                           db.OpenCo("OUT OF Xemp AS EMP TAKE *"));
+      co::CoCache::Tuple* e1 = nullptr;
+      for (co::CoCache::Tuple& t : cache->node(0).tuples) {
+        if (t.values[0].AsInt() == 1) e1 = &t;
+      }
+      ASSERT_NE(e1, nullptr);
+      co::Manipulator m(cache.get(), db.catalog());
+      ASSERT_OK(m.UpdateColumn(e1, "sal", Value::Int(1600)));
+      MustExecute(&db, commit ? "COMMIT" : "ROLLBACK");
+    }
+    Database reopened(options);
+    ASSERT_OK(reopened.open_error());
+    ASSERT_OK_AND_ASSIGN(ResultSet rs,
+                         reopened.Query("SELECT sal FROM EMP WHERE eno = 1"));
+    ASSERT_EQ(rs.rows.size(), 1u);
+    EXPECT_EQ(rs.rows[0][0].AsInt(), commit ? 1600 : 1500)
+        << (commit ? "COMMIT" : "ROLLBACK");
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
