@@ -26,8 +26,16 @@ class CollectingReporter : public ::benchmark::ConsoleReporter {
         s.real_ns.push_back(run.real_accumulated_time /
                             static_cast<double>(run.iterations) * 1e9);
       }
-      auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) s.items_per_sec.push_back(it->second);
+      // The throughput a benchmark reports: gbench's own items/s, else a
+      // custom rate counter (bench_extraction sets rows_per_sec or
+      // tuples_per_sec).
+      for (const char* rate :
+           {"items_per_second", "rows_per_sec", "tuples_per_sec"}) {
+        auto it = run.counters.find(rate);
+        if (it == run.counters.end()) continue;
+        s.items_per_sec.push_back(it->second);
+        break;
+      }
       s.iterations += run.iterations;
     }
     ConsoleReporter::ReportRuns(reports);

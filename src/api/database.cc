@@ -191,9 +191,6 @@ Database::Database(Options options)
     });
   }
   RegisterSystemViews();
-  if (options_.mvcc) {
-    txn_manager_ = std::make_unique<TransactionManager>();
-  }
   if (!options_.data_dir.empty()) {
     open_error_ = OpenDurable();
     if (!open_error_.ok()) {
@@ -203,11 +200,6 @@ Database::Database(Options options)
       catalog_.set_undo_log(nullptr);
       durable_store_.reset();
     }
-  }
-  // The transaction manager goes live only after replay: recovery applies
-  // the log physically, below any notion of visibility.
-  if (txn_manager_ != nullptr) {
-    catalog_.set_txn_manager(txn_manager_.get());
   }
   default_session_ =
       std::unique_ptr<Session>(new Session(this, next_session_id_++));
@@ -242,21 +234,12 @@ Status Database::OpenDurable() {
   // Only now does the engine start logging: replay itself must not append.
   catalog_.set_wal(durable_store_->wal());
   // Restore the MVCC visibility horizon above every recovered commit: the
-  // checkpoint pinned the epoch at checkpoint time, and each replayed
+  // checkpoint restored its own horizon as the floor, and each replayed
   // commit marker carries the epoch it committed at. Post-recovery
   // snapshots must order after all of them.
-  if (txn_manager_ != nullptr) {
-    uint64_t horizon = info.mvcc_epoch;
-    for (const Wal::Record& rec : wal_records) {
-      if (rec.commit_epoch > horizon) horizon = rec.commit_epoch;
-    }
-    txn_manager_->set_epoch_floor(horizon);
+  for (const Wal::Record& rec : wal_records) {
+    txn_manager()->set_epoch_floor(rec.commit_epoch);
   }
-  // Future checkpoints persist the live horizon so the next recovery
-  // restores it even with an empty WAL.
-  durable_store_->set_epoch_source([this] {
-    return txn_manager_ != nullptr ? txn_manager_->epoch() : uint64_t{0};
-  });
   if (metrics_ != nullptr) {
     metrics_->counter("recovery.count")->Add(1);
     metrics_->counter("recovery.tables_restored")->Add(info.tables_restored);
@@ -274,15 +257,15 @@ Status Database::ReplayWal(const std::vector<Wal::Record>& records) {
   exec::DmlExecutor dml(&catalog_);
   std::vector<const Wal::Record*> pending;
   // Transaction brackets in the log replay through a recovery-local undo
-  // log; sessions (and the MVCC manager) are not up yet.
+  // log; sessions are not up yet.
   std::unique_ptr<UndoLog> replay_txn;
 
   // Applies the first `apply_count` buffered records of one statement
   // through the normal DML/DDL paths, then commits or rolls the statement
   // back — an abort replays its rid-space side effects (tombstoned insert
   // slots) so later records' rids stay valid.
-  auto replay_statement = [&](size_t apply_count, bool commit,
-                              bool surplus_burned = false) -> Status {
+  auto apply_statement = [&](size_t apply_count, bool commit,
+                             bool surplus_burned) -> Status {
     exec::StatementAtomicity statement(&catalog_);
     for (size_t i = 0; i < apply_count && i < pending.size(); ++i) {
       const Wal::Record& rec = *pending[i];
@@ -342,6 +325,21 @@ Status Database::ReplayWal(const std::vector<Wal::Record>& records) {
       XNF_RETURN_IF_ERROR(table->storage->Delete(*rid));
     }
     return statement.Abort();
+  };
+  // An autocommit statement replays under a recovery-local undo log too,
+  // so StatementAtomicity joins it instead of opening an MVCC transaction:
+  // replay stays physical and leaves the epoch and the transaction counters
+  // where the checkpoint and the commit markers put them.
+  auto replay_statement = [&](size_t apply_count, bool commit,
+                              bool surplus_burned = false) -> Status {
+    if (replay_txn != nullptr) {
+      return apply_statement(apply_count, commit, surplus_burned);
+    }
+    UndoLog autocommit;
+    catalog_.set_undo_log(&autocommit);
+    Status st = apply_statement(apply_count, commit, surplus_burned);
+    catalog_.set_undo_log(nullptr);
+    return st;
   };
 
   for (const Wal::Record& rec : records) {
@@ -700,13 +698,11 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       }
       session->undo_ = std::make_unique<UndoLog>();
       catalog_.set_undo_log(session->undo_.get());
-      if (txn_manager_ != nullptr) {
-        // The snapshot is taken here, at BEGIN: every read of this
-        // transaction sees the database as of this instant.
-        session->txn_ = txn_manager_->Begin(/*ephemeral=*/false);
-        session->txn_->undo = session->undo_.get();
-        txn_manager_->set_current(session->txn_);
-      }
+      // The snapshot is taken here, at BEGIN: every read of this
+      // transaction sees the database as of this instant.
+      session->txn_ = txn_manager()->Begin(/*ephemeral=*/false);
+      session->txn_->undo = session->undo_.get();
+      txn_manager()->set_current(session->txn_);
       ++open_txns_;
       result.message = "transaction started";
       return result;
@@ -721,15 +717,14 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       catalog_.set_undo_log(nullptr);
       session->undo_.reset();
       session->txn_ = nullptr;
-      if (txn_manager_ != nullptr) txn_manager_->set_current(nullptr);
+      txn_manager()->set_current(nullptr);
       --open_txns_;
     };
     if (tokens[0].Is("commit")) {
       // Reserve the commit epoch first so the WAL marker carries the same
       // epoch the in-memory commit publishes at — recovery restores the
       // visibility horizon from these markers.
-      const uint64_t epoch =
-          txn_manager_ != nullptr ? txn_manager_->PrepareCommitEpoch() : 0;
+      const uint64_t epoch = txn_manager()->PrepareCommitEpoch();
       if (Wal* wal = catalog_.wal(); wal != nullptr) {
         Status marker = wal->AppendTxnCommit(epoch);
         if (!marker.ok()) {
@@ -739,9 +734,7 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
           // part of this transaction.
           wal->RollbackTxn();
           Status rolled = session->undo_->Rollback(&catalog_);
-          if (txn_manager_ != nullptr && session->txn_ != nullptr) {
-            txn_manager_->Rollback(session->txn_);
-          }
+          txn_manager()->Rollback(session->txn_);
           clear();
           XNF_RETURN_IF_ERROR(rolled);
           return marker;
@@ -750,18 +743,14 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       // Harvest the pre-image versions BEFORE UndoLog::Commit clears the
       // entries they are copied from: concurrent snapshots older than this
       // epoch keep reading the pre-images from the version store.
-      if (txn_manager_ != nullptr && session->txn_ != nullptr) {
-        txn_manager_->Commit(session->txn_, epoch);
-        session->txn_ = nullptr;
-      }
+      txn_manager()->Commit(session->txn_, epoch);
+      session->txn_ = nullptr;
       session->undo_->Commit();
       result.message = "committed";
     } else {
       if (Wal* wal = catalog_.wal(); wal != nullptr) wal->RollbackTxn();
       Status rolled = session->undo_->Rollback(&catalog_);
-      if (txn_manager_ != nullptr && session->txn_ != nullptr) {
-        txn_manager_->Rollback(session->txn_);
-      }
+      txn_manager()->Rollback(session->txn_);
       clear();
       XNF_RETURN_IF_ERROR(rolled);
       result.message = "rolled back";
@@ -838,8 +827,7 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       // An index is built from the physical rows; building one while
       // another live transaction holds uncommitted writes to the table
       // would bake uncommitted (or about-to-be-rolled-back) data into it.
-      if (txn_manager_ != nullptr &&
-          txn_manager_->OtherTransactionTouched(ci.table)) {
+      if (txn_manager()->OtherTransactionTouched(ci.table)) {
         return Status::Serialization(
             "cannot CREATE INDEX on '" + ci.table +
             "' while another transaction has uncommitted writes to it");
@@ -903,9 +891,7 @@ Result<ExecResult> Database::ExecuteInternal(Session* session,
       } else {
         // Refuses while any live transaction wrote the table (its rollback
         // would need the storage back), then purges retained versions.
-        if (txn_manager_ != nullptr) {
-          XNF_RETURN_IF_ERROR(txn_manager_->OnDropTable(stmt.drop->name));
-        }
+        XNF_RETURN_IF_ERROR(txn_manager()->OnDropTable(stmt.drop->name));
         XNF_RETURN_IF_ERROR(
             apply_ddl([&] { return catalog_.DropTable(stmt.drop->name); }));
         result.message = "table dropped";
@@ -1197,7 +1183,7 @@ Result<ExecResult> Database::ExecuteCoDelete(const co::CoInstance& instance) {
       // Visible scan: another session's uncommitted link row must not be
       // picked as the deletion victim.
       Status scanned = ScanVisible(
-          catalog_.txn_manager(), *link, [&](Rid rid, const Row& row) {
+          *txn_manager(), *link, [&](Rid rid, const Row& row) {
             if (row[rel.link_parent_column].CompareEq(pkey) ==
                     Tribool::kTrue &&
                 row[rel.link_child_column].CompareEq(ckey) == Tribool::kTrue) {

@@ -147,10 +147,10 @@ void Database::RegisterSystemViews() {
 
   // sqlxnf_transactions: one row with the MVCC engine state — the commit
   // horizon, live transactions, retained versions, and lifetime counters.
-  // Empty when Options::mvcc is off. The fill runs under the statement
-  // latch, so the numbers are a consistent instant. Plain reads resolve
-  // against the committed horizon without registering a transaction, so
-  // active_txns counts only open BEGIN blocks and in-flight DML statements.
+  // The fill runs under the statement latch, so the numbers are a
+  // consistent instant. Plain reads resolve against the committed horizon
+  // without registering a transaction, so active_txns counts only open
+  // BEGIN blocks and in-flight DML statements.
   {
     Schema schema;
     schema.AddColumn(Column("epoch", Type::kInt));
@@ -165,10 +165,9 @@ void Database::RegisterSystemViews() {
     schema.AddColumn(Column("versions_gced", Type::kInt));
     must(catalog_.RegisterSystemView(
         "sqlxnf_transactions", std::move(schema), [this] {
-          std::vector<Row> rows;
-          if (txn_manager_ == nullptr) return rows;
-          const TransactionManager& mgr = *txn_manager_;
+          const TransactionManager& mgr = *txn_manager();
           const TransactionManager::Stats& s = mgr.stats();
+          std::vector<Row> rows;
           rows.push_back(
               {Value::Int(static_cast<int64_t>(mgr.epoch())),
                Value::Int(static_cast<int64_t>(mgr.active_transactions())),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "catalog/mvcc.h"
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "storage/virtual_table.h"
@@ -13,6 +14,13 @@ namespace {
 constexpr char kSystemPrefix[] = "sqlxnf_";
 
 }  // namespace
+
+Catalog::Catalog(BufferPool* buffer_pool, uint32_t tuples_per_page)
+    : txn_manager_(std::make_unique<TransactionManager>()),
+      buffer_pool_(buffer_pool),
+      tuples_per_page_(tuples_per_page) {}
+
+Catalog::~Catalog() = default;
 
 Index* TableInfo::FindIndexOn(const std::vector<size_t>& columns) const {
   for (const auto& idx : indexes) {

@@ -89,8 +89,8 @@ class Catalog {
   // size of every columnar table, keeping rids and morsel ranges aligned
   // across layouts).
   explicit Catalog(BufferPool* buffer_pool = nullptr,
-                   uint32_t tuples_per_page = 64)
-      : buffer_pool_(buffer_pool), tuples_per_page_(tuples_per_page) {}
+                   uint32_t tuples_per_page = 64);
+  ~Catalog();
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
@@ -197,11 +197,10 @@ class Catalog {
   bool statement_open() const { return statement_open_; }
   void set_statement_open(bool open) { statement_open_ = open; }
 
-  // The MVCC transaction manager, or nullptr (isolation off — every read
-  // sees physical state). Set once by the Database facade; read paths ask
-  // it for snapshot-visible scans, write paths for conflict checks.
-  TransactionManager* txn_manager() const { return txn_manager_; }
-  void set_txn_manager(TransactionManager* mgr) { txn_manager_ = mgr; }
+  // The MVCC transaction manager, created with the catalog and never null.
+  // Read paths ask it for snapshot-visible scans, write paths for conflict
+  // checks. While no transaction is active it reads and writes physically.
+  TransactionManager* txn_manager() const { return txn_manager_.get(); }
 
   // The write-ahead log of a durable database, or nullptr (in-memory).
   // Set by the Database facade after recovery; consulted by the DML layer
@@ -233,7 +232,7 @@ class Catalog {
   ExecConfig exec_config_;
   UndoLog* undo_log_ = nullptr;
   bool statement_open_ = false;
-  TransactionManager* txn_manager_ = nullptr;
+  std::unique_ptr<TransactionManager> txn_manager_;
   Wal* wal_ = nullptr;
   ThreadPool* exec_pool_ = nullptr;
   BufferPool* buffer_pool_;

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "catalog/catalog.h"
+#include "catalog/mvcc.h"
 #include "common/failpoint.h"
 #include "common/serde.h"
 #include "storage/index.h"
@@ -163,7 +164,6 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
 
   local.torn_wal_tail = torn;
   local.wal_records = records.size();
-  local.mvcc_epoch = store->recovered_epoch_;
   if (wal_records != nullptr) *wal_records = std::move(records);
   if (info != nullptr) *info = local;
   return store;
@@ -341,7 +341,7 @@ std::string DurableStore::SerializeCatalogMeta() const {
     serde::PutU8(&out, view->is_xnf ? 1 : 0);
   }
   // Trailing so pre-MVCC checkpoints (without the field) still restore.
-  serde::PutU64(&out, epoch_source_ ? epoch_source_() : 0);
+  serde::PutU64(&out, catalog_->txn_manager()->epoch());
   return out;
 }
 
@@ -412,10 +412,12 @@ Status DurableStore::RestoreCatalogMeta(const std::string& bytes,
         catalog_->CreateView(name, std::move(definition), is_xnf != 0));
   }
 
-  // MVCC commit horizon at checkpoint time; absent from pre-MVCC
-  // checkpoints, which read as horizon 0.
+  // MVCC commit horizon at checkpoint time, restored as the epoch floor;
+  // absent from pre-MVCC checkpoints, which read as horizon 0.
   if (r.remaining() >= 8) {
-    XNF_RETURN_IF_ERROR(r.GetU64(&recovered_epoch_));
+    uint64_t epoch = 0;
+    XNF_RETURN_IF_ERROR(r.GetU64(&epoch));
+    catalog_->txn_manager()->set_epoch_floor(epoch);
   }
 
   // Last: table creation above bumped the counter past every live id, but

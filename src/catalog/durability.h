@@ -2,7 +2,6 @@
 #define XNF_CATALOG_DURABILITY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,17 +56,15 @@ class DurableStore {
     uint64_t wal_records = 0;    // records handed back for replay
     uint64_t units_restored = 0;
     uint64_t tables_restored = 0;
-    // MVCC commit horizon at the checkpoint (0 for pre-MVCC checkpoints).
-    // Recovery restarts the epoch counter above the max of this and every
-    // replayed commit marker's epoch.
-    uint64_t mvcc_epoch = 0;
   };
 
   // Opens (creating if needed) the durable store rooted at `data_dir`,
-  // restores the checkpointed snapshot into `catalog`, and returns the WAL
-  // records to replay. On success the WAL is open for appending (the torn
-  // tail, if any, already truncated away) but NOT yet attached to the
-  // catalog — the caller replays first, then calls catalog->set_wal(wal()).
+  // restores the checkpointed snapshot into `catalog` (the MVCC commit
+  // horizon included, as the transaction manager's epoch floor), and
+  // returns the WAL records to replay. On success the WAL is open for
+  // appending (the torn tail, if any, already truncated away) but NOT yet
+  // attached to the catalog — the caller replays first, then calls
+  // catalog->set_wal(wal()).
   static Result<std::unique_ptr<DurableStore>> Open(
       const std::string& data_dir, Catalog* catalog, const Options& options,
       std::vector<Wal::Record>* wal_records, RecoveryInfo* info);
@@ -84,12 +81,6 @@ class DurableStore {
   // poisoning: the snapshot captures the exact in-memory state, so the
   // fresh log is consistent with it by construction.
   Status Checkpoint();
-
-  // Supplies the MVCC commit horizon serialized into each checkpoint's
-  // catalog meta page. Unset (or MVCC off) writes 0.
-  void set_epoch_source(std::function<uint64_t()> fn) {
-    epoch_source_ = std::move(fn);
-  }
 
   Wal* wal() const { return wal_.get(); }
   uint64_t wal_bytes() const { return wal_ ? wal_->bytes_written() : 0; }
@@ -109,8 +100,9 @@ class DurableStore {
   };
 
   // Serializes the catalog meta page: next_file_id, every user table
-  // (schema, layout, cluster column, file id, secondary indexes) and every
-  // view. System views are process state, never persisted.
+  // (schema, layout, cluster column, file id, secondary indexes), every
+  // view, and the MVCC commit horizon. System views are process state,
+  // never persisted.
   std::string SerializeCatalogMeta() const;
   Status RestoreCatalogMeta(const std::string& bytes,
                             std::vector<PendingIndex>* pending);
@@ -138,12 +130,6 @@ class DurableStore {
 
   std::unique_ptr<PageFile> pages_;
   std::unique_ptr<Wal> wal_;
-
-  // MVCC epoch plumbing: the live horizon at checkpoint time (from the
-  // Database's TransactionManager) and the horizon read back from the
-  // restored checkpoint.
-  std::function<uint64_t()> epoch_source_;
-  uint64_t recovered_epoch_ = 0;
 
   // Compaction bookkeeping: the page file's size right after the last full
   // rewrite; growing past ~4x that triggers the next rewrite.

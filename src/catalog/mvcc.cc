@@ -347,21 +347,17 @@ size_t TransactionManager::versions_retained() const {
   return n;
 }
 
-Status ScanVisible(const TransactionManager* mgr, const TableInfo& table,
+Status ScanVisible(const TransactionManager& mgr, const TableInfo& table,
                    const std::function<bool(Rid, const Row&)>& fn) {
-  if (mgr == nullptr || mgr->PhysicalReadsSafe(table.name)) {
-    return table.storage->Scan(fn);
-  }
-  TransactionManager::Overlay overlay = mgr->BuildOverlay(table.name);
+  if (mgr.PhysicalReadsSafe(table.name)) return table.storage->Scan(fn);
+  TransactionManager::Overlay overlay = mgr.BuildOverlay(table.name);
   return TransactionManager::VisibleScan(*table.storage, overlay, fn);
 }
 
-Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,
+Result<Row> ReadVisible(const TransactionManager& mgr, const TableInfo& table,
                         Rid rid) {
-  if (mgr == nullptr || mgr->PhysicalReadsSafe(table.name)) {
-    return table.storage->Read(rid);
-  }
-  std::optional<std::optional<Row>> v = mgr->LookupVersion(table.name, rid);
+  if (mgr.PhysicalReadsSafe(table.name)) return table.storage->Read(rid);
+  std::optional<std::optional<Row>> v = mgr.LookupVersion(table.name, rid);
   if (v.has_value()) {
     if (!v->has_value()) {
       return Status::NotFound("row is not visible at this snapshot");

@@ -242,12 +242,11 @@ class TransactionManager {
 };
 
 // Free-standing read helpers for the DML/exec layers: a scan / point read
-// of `table` as visible at the current snapshot. `mgr` may be null (MVCC
-// off) — reads are then physical. Both take the fast path (no overlay,
-// plain storage access) whenever physical reads are exact.
-Status ScanVisible(const TransactionManager* mgr, const TableInfo& table,
+// of `table` as visible at the current snapshot. Both take the fast path
+// (no overlay, plain storage access) whenever physical reads are exact.
+Status ScanVisible(const TransactionManager& mgr, const TableInfo& table,
                    const std::function<bool(Rid, const Row&)>& fn);
-Result<Row> ReadVisible(const TransactionManager* mgr, const TableInfo& table,
+Result<Row> ReadVisible(const TransactionManager& mgr, const TableInfo& table,
                         Rid rid);
 
 }  // namespace xnf

@@ -56,11 +56,11 @@ StatementAtomicity::StatementAtomicity(Catalog* catalog)
     local_ = std::make_unique<UndoLog>();
     log_ = local_.get();
     catalog_->set_undo_log(log_);
-    // Autocommit under MVCC: the statement is its own transaction. Its
-    // undo log is the local one, so other sessions' snapshots read the
-    // statement's pre-images until Commit publishes them.
-    if (TransactionManager* mgr = catalog_->txn_manager();
-        mgr != nullptr && mgr->current() == nullptr) {
+    // Autocommit: the statement is its own transaction. Its undo log is the
+    // local one, so other sessions' snapshots read the statement's
+    // pre-images until Commit publishes them.
+    TransactionManager* mgr = catalog_->txn_manager();
+    if (mgr->current() == nullptr) {
       txn_ = mgr->Begin(/*ephemeral=*/true);
       txn_->undo = log_;
       mgr->set_current(txn_);
@@ -78,8 +78,7 @@ Status StatementAtomicity::Commit() {
   // restores the same visibility horizon the live engine published.
   // Statements inside an explicit transaction carry epoch 0 — their
   // effects become visible only at the transaction's kTxnCommit marker.
-  const uint64_t epoch =
-      (txn_ != nullptr && mgr != nullptr) ? mgr->PrepareCommitEpoch() : 0;
+  const uint64_t epoch = txn_ != nullptr ? mgr->PrepareCommitEpoch() : 0;
   // Durability point first: if the marker (or its fsync) fails, abort so
   // the in-memory state matches what recovery will reconstruct.
   if (Wal* wal = catalog_->wal(); wal != nullptr) {
@@ -91,7 +90,7 @@ Status StatementAtomicity::Commit() {
   }
   done_ = true;
   catalog_->set_statement_open(false);
-  if (txn_ != nullptr && mgr != nullptr) {
+  if (txn_ != nullptr) {
     // Harvest pre-images before the local log discards them.
     mgr->Commit(txn_, epoch);
     txn_ = nullptr;
@@ -114,26 +113,24 @@ Status StatementAtomicity::Abort() {
   }
   if (local_ != nullptr) catalog_->set_undo_log(nullptr);
   Status rolled = log_->RollbackTo(catalog_, mark_);
-  if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
-    if (txn_ != nullptr) {
-      // Autocommit: the statement's writes are fully undone above.
-      mgr->Rollback(txn_);
-      txn_ = nullptr;
-    } else if (mgr->current() != nullptr) {
-      // Explicit transaction: the savepoint rollback removed this
-      // statement's undo entries; shrink the MVCC write set to match.
-      mgr->OnStatementAbort(mgr->current());
-    }
+  TransactionManager* mgr = catalog_->txn_manager();
+  if (txn_ != nullptr) {
+    // Autocommit: the statement's writes are fully undone above.
+    mgr->Rollback(txn_);
+    txn_ = nullptr;
+  } else if (mgr->current() != nullptr) {
+    // Explicit transaction: the savepoint rollback removed this
+    // statement's undo entries; shrink the MVCC write set to match.
+    mgr->OnStatementAbort(mgr->current());
   }
   return rolled;
 }
 
 Result<Rid> DmlExecutor::InsertRow(TableInfo* table, Row row) {
-  // A direct call on a durable or MVCC database (no enclosing statement)
-  // is its own statement: give it a savepoint so the WAL sees a properly
-  // bracketed record-marker pair and MVCC sees an autocommit transaction.
-  if ((catalog_->wal() != nullptr || catalog_->txn_manager() != nullptr) &&
-      catalog_->undo_log() == nullptr) {
+  // A direct call (no enclosing statement) is its own statement: give it a
+  // savepoint so the WAL sees a properly bracketed record-marker pair and
+  // MVCC sees an autocommit transaction.
+  if (catalog_->undo_log() == nullptr) {
     StatementAtomicity statement(catalog_);
     Result<Rid> rid = InsertRow(table, std::move(row));
     if (!rid.ok()) {
@@ -174,15 +171,13 @@ Result<Rid> DmlExecutor::InsertRow(TableInfo* table, Row row) {
   if (UndoLog* log = catalog_->undo_log(); log != nullptr) {
     log->RecordInsert(table->name, rid);
   }
-  if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
-    mgr->OnWrite(UndoLog::Entry::Kind::kInsert, table->name, rid);
-  }
+  catalog_->txn_manager()->OnWrite(UndoLog::Entry::Kind::kInsert, table->name,
+                                   rid);
   return rid;
 }
 
 Status DmlExecutor::UpdateRow(TableInfo* table, Rid rid, Row new_row) {
-  if ((catalog_->wal() != nullptr || catalog_->txn_manager() != nullptr) &&
-      catalog_->undo_log() == nullptr) {
+  if (catalog_->undo_log() == nullptr) {
     StatementAtomicity statement(catalog_);
     Status st = UpdateRow(table, rid, std::move(new_row));
     if (!st.ok()) {
@@ -196,9 +191,7 @@ Status DmlExecutor::UpdateRow(TableInfo* table, Rid rid, Row new_row) {
   // in-flight transaction wrote this rid, or a commit newer than our
   // snapshot did, the statement fails with a serialization error. A rid
   // that passes the check reads identically physical and snapshot-visible.
-  if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
-    XNF_RETURN_IF_ERROR(mgr->CheckWrite(table->name, rid));
-  }
+  XNF_RETURN_IF_ERROR(catalog_->txn_manager()->CheckWrite(table->name, rid));
   XNF_FAILPOINT("dml.apply.update");
   XNF_ASSIGN_OR_RETURN(Row old_row, table->storage->Read(rid));
   if (Wal* wal = catalog_->wal(); wal != nullptr) {
@@ -239,15 +232,13 @@ Status DmlExecutor::UpdateRow(TableInfo* table, Rid rid, Row new_row) {
   if (UndoLog* log = catalog_->undo_log(); log != nullptr) {
     log->RecordUpdate(table->name, rid, std::move(old_row));
   }
-  if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
-    mgr->OnWrite(UndoLog::Entry::Kind::kUpdate, table->name, rid);
-  }
+  catalog_->txn_manager()->OnWrite(UndoLog::Entry::Kind::kUpdate, table->name,
+                                   rid);
   return Status::Ok();
 }
 
 Status DmlExecutor::DeleteRow(TableInfo* table, Rid rid) {
-  if ((catalog_->wal() != nullptr || catalog_->txn_manager() != nullptr) &&
-      catalog_->undo_log() == nullptr) {
+  if (catalog_->undo_log() == nullptr) {
     StatementAtomicity statement(catalog_);
     Status st = DeleteRow(table, rid);
     if (!st.ok()) {
@@ -256,9 +247,7 @@ Status DmlExecutor::DeleteRow(TableInfo* table, Rid rid) {
     }
     return statement.Commit();
   }
-  if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
-    XNF_RETURN_IF_ERROR(mgr->CheckWrite(table->name, rid));
-  }
+  XNF_RETURN_IF_ERROR(catalog_->txn_manager()->CheckWrite(table->name, rid));
   XNF_FAILPOINT("dml.apply.delete");
   XNF_ASSIGN_OR_RETURN(Row row, table->storage->Read(rid));
   if (Wal* wal = catalog_->wal(); wal != nullptr) {
@@ -284,9 +273,8 @@ Status DmlExecutor::DeleteRow(TableInfo* table, Rid rid) {
   if (UndoLog* log = catalog_->undo_log(); log != nullptr) {
     log->RecordDelete(table->name, rid, std::move(row));
   }
-  if (TransactionManager* mgr = catalog_->txn_manager(); mgr != nullptr) {
-    mgr->OnWrite(UndoLog::Entry::Kind::kDelete, table->name, rid);
-  }
+  catalog_->txn_manager()->OnWrite(UndoLog::Entry::Kind::kDelete, table->name,
+                                   rid);
   return Status::Ok();
 }
 
@@ -436,7 +424,7 @@ Result<int64_t> DmlExecutor::Update(const sql::UpdateStmt& stmt) {
   // state: rows from uncommitted or later-committed transactions are
   // neither matched nor counted (their rids would fail CheckWrite anyway).
   XNF_RETURN_IF_ERROR(ScanVisible(
-      catalog_->txn_manager(), *table, [&](Rid rid, const Row& row) {
+      *catalog_->txn_manager(), *table, [&](Rid rid, const Row& row) {
         staged_rids.push_back(rid);
         staged_rows.push_back(row);
         if (staged_rows.size() >= kBatchSize) {
@@ -507,7 +495,7 @@ Result<int64_t> DmlExecutor::Delete(const sql::DeleteStmt& stmt) {
   };
   Status status = Status::Ok();
   XNF_RETURN_IF_ERROR(ScanVisible(
-      catalog_->txn_manager(), *table, [&](Rid rid, const Row& row) {
+      *catalog_->txn_manager(), *table, [&](Rid rid, const Row& row) {
         staged_rids.push_back(rid);
         if (where) staged_rows.push_back(row);
         if (staged_rids.size() >= kBatchSize) {

@@ -29,7 +29,7 @@ namespace xnf::exec {
 // savepoint) so recovery can reproduce the abort's rid-space side effects;
 // see wal.h.
 //
-// Under MVCC the statement-local log doubles as a per-statement autocommit
+// The statement-local log doubles as a per-statement autocommit
 // transaction: the constructor begins an ephemeral transaction when no
 // explicit one is open, Commit() publishes it at a fresh epoch (harvesting
 // pre-images if another snapshot still needs them — the WAL commit marker
@@ -56,7 +56,7 @@ class StatementAtomicity {
   UndoLog* log_;                     // transaction log or local_.get()
   std::unique_ptr<UndoLog> local_;   // set when no transaction was active
   // The autocommit MVCC transaction this statement opened, or nullptr
-  // (MVCC off, or executing inside an explicit transaction).
+  // (executing inside an explicit transaction).
   TransactionManager::Transaction* txn_ = nullptr;
   size_t mark_ = 0;
   bool done_ = false;

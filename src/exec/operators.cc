@@ -233,7 +233,7 @@ Status SeqScanOp::OpenImpl(ExecContext* ctx) {
   staged.reserve(filters_.empty() ? 0 : kBatchSize);
   Status status = Status::Ok();
   XNF_RETURN_IF_ERROR(ScanVisible(
-      ctx->catalog->txn_manager(), *table, [&](Rid, const Row& row) {
+      *ctx->catalog->txn_manager(), *table, [&](Rid, const Row& row) {
         staged.push_back(row);
         if (staged.size() >= kBatchSize) {
           status = FilterAppend(filters_, &staged, &ectx, &buffered_);
@@ -323,8 +323,8 @@ Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
     XNF_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, &ectx));
     key.push_back(std::move(v));
   }
-  const TransactionManager* mgr = ctx->catalog->txn_manager();
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table_name_)) {
+  const TransactionManager& mgr = *ctx->catalog->txn_manager();
+  if (!mgr.PhysicalReadsSafe(table_name_)) {
     // MVCC: the index maps the *physical* state — at this snapshot some of
     // its rids point at rows the transaction must not see, and rows it must
     // see may be missing. Equality-scan the visible rows instead, with the
@@ -995,8 +995,8 @@ Status IndexNLJoinOp::OpenImpl(ExecContext* ctx) {
   visible_map_.reset();
   matched_.clear();
   match_pos_ = 0;
-  const TransactionManager* mgr = ctx->catalog->txn_manager();
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table_name_)) {
+  const TransactionManager& mgr = *ctx->catalog->txn_manager();
+  if (!mgr.PhysicalReadsSafe(table_name_)) {
     // MVCC: index rids reflect the physical state, not this snapshot. Hash
     // the visible inner rows by index key once; probes hit the map instead
     // of the index. Rows whose key contains NULL are unreachable through

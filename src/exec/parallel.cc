@@ -692,8 +692,7 @@ Status ParallelFilterScan(const TableInfo& table,
   const TableStorage& storage = *table.storage;
   const uint32_t pages = static_cast<uint32_t>(storage.page_count());
   const bool want_rids = rids_out != nullptr;
-  ThreadPool* pool =
-      ctx->catalog != nullptr ? ctx->catalog->exec_pool() : nullptr;
+  ThreadPool* pool = ctx->catalog->exec_pool();
   const int dop = pool != nullptr ? pool->dop() : 1;
   *stats = ScanStats{};
 
@@ -702,12 +701,11 @@ Status ParallelFilterScan(const TableInfo& table,
   // snapshot's overlay. The overlay is built once here and shared — it is
   // immutable for the statement's duration. The columnar kernel path reads
   // physical segments directly, so it is bypassed too.
-  const TransactionManager* mgr =
-      ctx->catalog != nullptr ? ctx->catalog->txn_manager() : nullptr;
+  const TransactionManager& mgr = *ctx->catalog->txn_manager();
   TransactionManager::Overlay mvcc_overlay;
   const TransactionManager::Overlay* overlay = nullptr;
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table.name)) {
-    mvcc_overlay = mgr->BuildOverlay(table.name);
+  if (!mgr.PhysicalReadsSafe(table.name)) {
+    mvcc_overlay = mgr.BuildOverlay(table.name);
     overlay = &mvcc_overlay;
   }
 
@@ -716,15 +714,13 @@ Status ParallelFilterScan(const TableInfo& table,
   // ExecConfig::scalar_eval remains a whole-pipeline row-at-a-time
   // baseline for the differential harness.
   const ColumnStore* column_store = storage.AsColumnStore();
-  const bool force_scalar =
-      ctx->catalog != nullptr && ctx->catalog->exec_config().scalar_eval;
+  const bool force_scalar = ctx->catalog->exec_config().scalar_eval;
   const bool columnar =
       column_store != nullptr && !force_scalar && overlay == nullptr;
   ColumnScanPlan column_plan;
   if (columnar) {
-    column_plan = BuildColumnScanPlan(
-        *column_store, filters, referenced,
-        ctx->catalog != nullptr ? ctx->catalog->metrics() : nullptr);
+    column_plan = BuildColumnScanPlan(*column_store, filters, referenced,
+                                      ctx->catalog->metrics());
     stats->columnar = true;
     stats->kernel_filters = column_plan.kernel_filter_count;
     stats->total_filters = filters.size();
@@ -979,8 +975,7 @@ Status TryLateFilterScan(const TableInfo& table,
   // MVCC: column batches view physical segments; a snapshot that must hide
   // or substitute rows needs the row-wise overlay merge, so decline and let
   // the caller take the materializing scan.
-  const TransactionManager* mgr = ctx->catalog->txn_manager();
-  if (mgr != nullptr && !mgr->PhysicalReadsSafe(table.name)) {
+  if (!ctx->catalog->txn_manager()->PhysicalReadsSafe(table.name)) {
     return Status::Ok();
   }
   ColumnScanPlan plan = BuildColumnScanPlan(*store, filters, referenced,

@@ -151,7 +151,9 @@ struct LateScan {
 // the plan has been proven never to read.
 //
 // `filters` must be subquery-free (pushed-down scan predicates are by
-// construction). `rids_out` may be null when provenance is not needed.
+// construction). `ctx->catalog` must be set: it supplies the pool, the
+// exec config and the snapshot. `rids_out` may be null when provenance is
+// not needed.
 // Runs serially — and identically to the pre-parallel code path — when the
 // catalog has no ThreadPool, the pool's DOP is 1, or the table is small;
 // `stats->dop` reports the DOP actually used.

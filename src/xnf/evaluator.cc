@@ -290,7 +290,7 @@ Result<CoNodeInstance> Evaluator::MaterializeNode(const CoNodeDef& def,
     }
     // MVCC: index rids map the physical state; when the snapshot differs,
     // take the scan path below — ParallelFilterScan merges the overlay.
-    if (index != nullptr && catalog_->txn_manager() != nullptr &&
+    if (index != nullptr &&
         !catalog_->txn_manager()->PhysicalReadsSafe(table->name)) {
       index = nullptr;
     }

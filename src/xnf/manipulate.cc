@@ -54,7 +54,7 @@ Status Manipulator::PropagateCellUpdate(CoCache::Node* node,
   // snapshot image keeps the error (and the row sent back on success)
   // consistent with what this session has been shown.
   XNF_ASSIGN_OR_RETURN(
-      Row base_row, ReadVisible(catalog_->txn_manager(), *table, tuple->rid));
+      Row base_row, ReadVisible(*catalog_->txn_manager(), *table, tuple->rid));
   base_row[node->base_column_map[column]] = value;
   exec::DmlExecutor dml(catalog_);
   return dml.UpdateRow(table, tuple->rid, std::move(base_row));
@@ -262,7 +262,7 @@ Status Manipulator::WriteDisconnect(const CoCache::Connection& conn) {
       // uncommitted link must not be picked as the victim.
       std::optional<Rid> victim;
       XNF_RETURN_IF_ERROR(ScanVisible(
-          catalog_->txn_manager(), *link, [&](Rid rid, const Row& row) {
+          *catalog_->txn_manager(), *link, [&](Rid rid, const Row& row) {
             if (row[rel.link_parent_column].CompareEq(pkey) ==
                     Tribool::kTrue &&
                 row[rel.link_child_column].CompareEq(ckey) == Tribool::kTrue) {

@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include "catalog/mvcc.h"
+#include "exec/dml.h"
 #include "gtest/gtest.h"
 
 namespace xnf {
@@ -128,6 +130,22 @@ TEST(Catalog, HeapsShareBufferPool) {
   EXPECT_EQ(pool.accesses(), 2u);
   // Distinct file ids: two distinct pages resident.
   EXPECT_EQ(pool.resident_pages(), 2u);
+}
+
+// Every catalog owns a transaction manager from construction, so even a
+// bare catalog's row-level DML is an autocommit transaction.
+TEST(Catalog, OwnsTransactionManagerFromConstruction) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateTable("t", TwoColumns()).ok());
+  ASSERT_NE(catalog.txn_manager(), nullptr);
+  exec::DmlExecutor dml(&catalog);
+  ASSERT_TRUE(
+      dml.InsertRow(catalog.GetTable("t"), {Value::Int(1), Value::String("a")})
+          .ok());
+  const TransactionManager& mgr = *catalog.txn_manager();
+  EXPECT_EQ(mgr.stats().txns_committed, 1u);
+  EXPECT_EQ(mgr.epoch(), 1u);
+  EXPECT_EQ(mgr.active_transactions(), 0u);
 }
 
 }  // namespace
